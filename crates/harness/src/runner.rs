@@ -117,13 +117,8 @@ impl SweepOutcome {
                 Json::Array(techniques.iter().map(|t| Json::from(t.clone())).collect()),
             ));
         }
-        // Same pattern for the sharded-engine knob: present only when the
-        // LP engine ran, so serial reports keep their historical bytes.
-        if let Some(shards) = params.shards {
-            report.push(("shards_override".into(), Json::from(shards as u64)));
-        }
-        // And for observability: the key (the retained top-K) appears
-        // only on observe-on runs.
+        // Same pattern for observability: the key (the retained top-K)
+        // appears only on observe-on runs.
         if let Some(top_k) = params.observe {
             report.push(("observe_override".into(), Json::from(top_k as u64)));
         }

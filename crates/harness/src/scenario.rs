@@ -38,12 +38,6 @@ pub struct SweepParams {
     /// `scale` scenario's node counts). The CLI rejects empty lists and
     /// degenerate sizes.
     pub sizes: Option<Vec<usize>>,
-    /// Logical-process count for the sharded intra-run engine, where
-    /// applicable (the `scale` scenario). `None`/absent selects the
-    /// serial engine; the CLI rejects 0 (`shards = 0` is spelled by
-    /// omitting the flag) and scenarios reject counts above their
-    /// smallest cell's node count.
-    pub shards: Option<usize>,
     /// Override of the autoscaler's target utilisation, where applicable
     /// (the `elastic` scenario's aggressiveness presets). The CLI rejects
     /// values outside `(0, 1]`.
@@ -55,9 +49,8 @@ pub struct SweepParams {
     /// Observability layer: when set, every simulated cell runs with the
     /// simulator's `observe` config enabled, retaining this many slowest
     /// request timelines and adding an `observe` section to the cell
-    /// metrics. The CLI rejects 0, combination with `--shards` (the LP
-    /// engine does not support the layer) and scenarios whose metrics
-    /// are wall-clock timings ([`Scenario::observe_supported`]).
+    /// metrics. The CLI rejects 0 and scenarios whose metrics are
+    /// wall-clock timings ([`Scenario::observe_supported`]).
     pub observe: Option<usize>,
     /// Override of the failure detector's detection latency, in seconds,
     /// where applicable (the `imperfect` scenario's level presets). The
@@ -90,7 +83,6 @@ impl Default for SweepParams {
             techniques: None,
             group_cap: None,
             sizes: None,
-            shards: None,
             target_util: None,
             cooldown_secs: None,
             observe: None,

@@ -29,10 +29,8 @@
 //! spanning the stage's dispatch to its completion. Redundant replicas
 //! and non-critical partitions appear in the mechanism counters
 //! ([`TechniqueStats`](crate::TechniqueStats)) but not in timelines: they
-//! do not hold up the request. The serial engine delivers inter-stage
-//! hops instantly, so [`SegmentKind::Hop`] is reserved for the LP
-//! engine's explicit hop latency ([`crate::lp::HOP_US`]); the LP engine
-//! rejects observability in v1, so no `Hop` segment is emitted yet.
+//! do not hold up the request. The engine delivers inter-stage hops
+//! instantly, so no segment covers them.
 
 use pcs_types::{ComponentId, NodeId, RequestId, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -70,10 +68,6 @@ pub enum SegmentKind {
     Queue,
     /// Executing on the component's server.
     Service,
-    /// Cross-component hop latency. Reserved: the serial engine delivers
-    /// hops instantly and the LP engine (which models them) does not
-    /// support observability yet.
-    Hop,
     /// Waiting for the reissue timer before the duplicate that won was
     /// even sent (RI-p laggards).
     ReissueWait,
@@ -88,7 +82,6 @@ impl SegmentKind {
         match self {
             SegmentKind::Queue => "queue",
             SegmentKind::Service => "service",
-            SegmentKind::Hop => "hop",
             SegmentKind::ReissueWait => "reissue-wait",
             SegmentKind::FailoverRequeue => "failover-requeue",
         }

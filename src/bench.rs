@@ -402,97 +402,6 @@ fn scheduler_benches(smoke: bool, repeats: usize) -> Vec<SchedRow> {
     rows
 }
 
-/// Shard counts of the parallel-engine rows (0 = the serial engine).
-fn parallel_shard_grid(smoke: bool) -> &'static [usize] {
-    if smoke {
-        &[0, 1, 2]
-    } else {
-        &[0, 1, 2, 4, 8]
-    }
-}
-
-/// Cluster sizes of the parallel-engine rows.
-fn parallel_sizes(smoke: bool) -> &'static [usize] {
-    if smoke {
-        &[40]
-    } else {
-        &[100, 400, 1000]
-    }
-}
-
-/// The intra-run parallel-engine section: the scale scenario's
-/// deep-chain/diurnal cell through the serial engine (`shards = 0`) and
-/// through the sharded LP engine at growing shard counts, on identical
-/// configs. `speedup_vs_serial` divides the serial row's wall-clock by
-/// the LP row's — on a single-core host the LP engine runs its
-/// cooperative executor and the interesting number is its overhead, not
-/// a speedup; the report records `host_cpus` so readers can tell which
-/// regime a row measured.
-fn parallel_benches(smoke: bool, repeats: usize) -> Vec<Json> {
-    let mut cfg = Fig6Config {
-        seed: 62021,
-        rates: vec![25.0],
-        ..Fig6Config::default()
-    };
-    if smoke {
-        cfg.search_vm_budget = 8;
-    }
-    let models = train_models(&cfg);
-    let technique = techniques::pcs_hier(SCHED_GROUP_CAP);
-    let mut rows = Vec::new();
-    for &size in parallel_sizes(smoke) {
-        let mut serial_wall = None;
-        for &shards in parallel_shard_grid(smoke) {
-            let engine = if shards == 0 {
-                "serial".to_string()
-            } else {
-                format!("lp{shards}")
-            };
-            let name = format!("parallel/{engine}@{size}");
-            eprintln!("bench: {name} ...");
-            let config = scenarios::scale::bench_config(size, shards, smoke, cfg.seed);
-            let mut wall_ms = f64::INFINITY;
-            let mut events = 0u64;
-            for _ in 0..repeats {
-                let started = Instant::now();
-                let report = fig6::run_cell_with_epsilon(
-                    &config,
-                    technique.as_ref(),
-                    &models,
-                    cfg.epsilon_secs,
-                );
-                wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-                // Both engines are deterministic: every repeat of one row
-                // handles the same events (counts differ *across* engines,
-                // whose event vocabularies differ).
-                debug_assert!(events == 0 || events == report.events_processed);
-                events = report.events_processed;
-            }
-            if shards == 0 {
-                serial_wall = Some(wall_ms);
-            }
-            let events_per_sec = if wall_ms > 0.0 {
-                events as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            };
-            rows.push(Json::object(vec![
-                ("bench".into(), Json::from(name)),
-                ("nodes".into(), Json::from(size)),
-                ("shards".into(), Json::from(shards)),
-                ("events".into(), Json::from(events)),
-                ("wall_ms".into(), Json::Num(wall_ms)),
-                ("events_per_sec".into(), Json::Num(events_per_sec)),
-                (
-                    "speedup_vs_serial".into(),
-                    serial_wall.map(|s| ratio(s, wall_ms)).unwrap_or(Json::Null),
-                ),
-            ]));
-        }
-    }
-    rows
-}
-
 /// The elastic-capacity section: the elastic scenario's `steady`-preset
 /// diurnal cell through each evacuation capability, on identical traces.
 /// Beside the usual wall-clock/events-per-sec, each row carries the
@@ -754,9 +663,6 @@ pub fn run(params: &BenchParams) -> Result<Json, String> {
         .map(SchedRow::to_json)
         .collect();
 
-    // ---- parallel-engine benches -------------------------------------
-    let parallel_rows = parallel_benches(params.smoke, repeats);
-
     // ---- elastic-capacity benches ------------------------------------
     let elastic_rows = elastic_benches(params.smoke, repeats);
 
@@ -809,8 +715,8 @@ pub fn run(params: &BenchParams) -> Result<Json, String> {
         ("smoke".into(), Json::Bool(params.smoke)),
         ("repeats".into(), Json::from(repeats)),
         ("threads".into(), Json::from(params.threads)),
-        // The parallel section's speedups only mean "parallel speedup"
-        // when the host actually has cores to spread shards over.
+        // Wall-clock figures depend on the host; the core count tells a
+        // reader how many sweep workers could actually run at once.
         (
             "host_cpus".into(),
             Json::from(
@@ -821,7 +727,6 @@ pub fn run(params: &BenchParams) -> Result<Json, String> {
         ),
         ("event_loop".into(), Json::Array(event_loop)),
         ("scheduler".into(), Json::Array(scheduler_rows)),
-        ("parallel".into(), Json::Array(parallel_rows)),
         ("elastic".into(), Json::Array(elastic_rows)),
         ("imperfect".into(), Json::Array(imperfect_rows)),
         ("observe".into(), Json::Array(observe_rows)),
@@ -1001,27 +906,6 @@ pub fn check_report(text: &str) -> Result<(), String> {
             ));
         }
     }
-    // The parallel section must cover both engines: the serial baseline
-    // (shards = 0) and at least one genuinely sharded LP run.
-    let parallel_rows = report
-        .get("parallel")
-        .and_then(Json::as_array)
-        .ok_or("report has no parallel array")?;
-    let covered = |want: &dyn Fn(f64) -> bool| {
-        parallel_rows.iter().any(|row| {
-            row.get("shards").and_then(Json::as_f64).is_some_and(want)
-                && row
-                    .get("wall_ms")
-                    .and_then(Json::as_f64)
-                    .is_some_and(|w| w.is_finite() && w > 0.0)
-        })
-    };
-    if !covered(&|s| s == 0.0) {
-        return Err("parallel section has no serial-engine (shards = 0) row".into());
-    }
-    if !covered(&|s| s >= 2.0) {
-        return Err("parallel section has no multi-shard (shards >= 2) row".into());
-    }
     // The elastic section must witness the autoscaler actually billing a
     // fleet: every row needs a positive, finite node-hours figure.
     let elastic_rows = report
@@ -1112,15 +996,6 @@ mod tests {
                 row.get("events").and_then(Json::as_f64).unwrap() > 0.0,
                 "every bench cell must process events"
             );
-        }
-        // Smoke parallel grid: serial + LP at 1 and 2 shards, one size.
-        let parallel = report.get("parallel").and_then(Json::as_array).unwrap();
-        assert_eq!(parallel.len(), 3);
-        let shard_of = |row: &Json| row.get("shards").and_then(Json::as_f64).unwrap();
-        assert_eq!(shard_of(&parallel[0]), 0.0);
-        assert_eq!(shard_of(&parallel[2]), 2.0);
-        for row in parallel {
-            assert!(row.get("events").and_then(Json::as_f64).unwrap() > 0.0);
         }
         // Elastic section: one row per evacuation capability, each
         // billing a real fleet.

@@ -61,8 +61,6 @@ fn usage() -> String {
          \x20 --repeats <n>        repeat count override (fig7)\n\
          \x20 --sizes <a,b,c>      cluster-size grid override, nodes (scale)\n\
          \x20 --group-cap <n>      PCS-H per-group component cap (scale)\n\
-         \x20 --shards <n>         sharded intra-run engine, n logical processes\n\
-         \x20                      (scale; omit for the serial engine)\n\
          \x20 --target-util <f>    autoscaler target utilisation in (0, 1] (elastic)\n\
          \x20 --cooldown <secs>    autoscaler cooldown between scale actions (elastic)\n\
          \x20 --detector-latency <secs>  failure-detector heartbeat timeout, pinned\n\
@@ -238,18 +236,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 }
                 params.group_cap = Some(cap);
             }
-            "--shards" => {
-                let shards: usize = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if shards == 0 {
-                    return Err(
-                        "--shards: must be at least 1 (omit the flag to run the serial engine)"
-                            .to_string(),
-                    );
-                }
-                params.shards = Some(shards);
-            }
             "--sizes" => {
                 let list = value("--sizes")?;
                 if list.trim().is_empty() {
@@ -380,13 +366,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     }
     if observe {
         params.observe = Some(top_k.unwrap_or(5));
-        if params.shards.is_some() {
-            return Err(
-                "--observe cannot combine with --shards: the sharded LP engine does not \
-                 support the observability layer (run serial by omitting --shards)"
-                    .to_string(),
-            );
-        }
     }
     Ok(RunArgs {
         scenario: scenario.ok_or("missing --scenario")?,
@@ -430,16 +409,6 @@ fn cmd_run(args: &[String]) -> i32 {
     {
         eprintln!(
             "scenario `{}` has no cluster-size grid; --sizes/--group-cap apply to: scale",
-            scenario.name()
-        );
-        return 2;
-    }
-    if run.params.shards.is_some() && scenario.name() != "scale" {
-        // Elastic configs in particular can never shard: membership
-        // churn is outside the LP engine's v1 scope (the engine itself
-        // refuses such configs at construction).
-        eprintln!(
-            "scenario `{}` does not thread the sharded engine; --shards applies to: scale",
             scenario.name()
         );
         return 2;

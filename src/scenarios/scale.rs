@@ -143,31 +143,32 @@ fn scale_config(
     rate: f64,
     seed: u64,
     smoke: bool,
-    shards: usize,
 ) -> SimConfig {
     let mut config = SimConfig::paper_like(service.topology(size), rate, seed);
     config.node_count = size;
     config.rack_count = (size / NODES_PER_RACK).max(1);
-    config.shards = shards;
     let (horizon, warmup) = if smoke { (8, 2) } else { (30, 5) };
     config.horizon = SimDuration::from_secs(horizon);
     config.warmup = SimDuration::from_secs(warmup);
     config
 }
 
-/// The simulation config of one `pcs bench` `parallel`-section cell: the
-/// deep-chain scale cell under diurnal traffic, shared here so the bench
-/// measures exactly this scenario's workload (serial engine at
-/// `shards = 0`, the sharded LP engine otherwise).
+/// The simulation config of one benchmark cell: the deep-chain scale
+/// cell under diurnal traffic, shared here so the benchmark
+/// (`perfbench/`) measures exactly this scenario's workload.
+///
+/// `shards` once selected a sharded engine, since removed; it stays in
+/// the signature because the benchmark calls this function with `0`
+/// and is kept unchanged alongside the code it measures.
+///
+/// # Panics
+/// Panics when `shards` is non-zero.
 pub fn bench_config(size: usize, shards: usize, smoke: bool, seed: u64) -> SimConfig {
-    let mut config = scale_config(
-        size,
-        ScaleService::DeepChain,
-        BASE_RATE,
-        seed,
-        smoke,
-        shards,
+    assert_eq!(
+        shards, 0,
+        "the sharded simulation engine was removed; pass shards = 0"
     );
+    let mut config = scale_config(size, ScaleService::DeepChain, BASE_RATE, seed, smoke);
     config.arrival_pattern = ScaleTraffic::Diurnal.pattern();
     config
 }
@@ -324,24 +325,12 @@ impl Scenario for ScaleScenario {
                 "scale cluster size must be >= {MIN_NODES}, got {size}"
             );
         }
-        // `--shards 0` never reaches us (the CLI rejects it); 0 here is
-        // the internal spelling of "serial engine".
-        let shards = params.shards.unwrap_or(0);
-        if let Some(&smallest) = sizes.iter().min() {
-            assert!(
-                shards <= smallest,
-                "--shards ({shards}) cannot exceed the smallest cluster size ({smallest}): \
-                 every shard needs at least one node"
-            );
-        }
         let traffics = if params.smoke {
             vec![ScaleTraffic::Diurnal]
         } else {
             vec![ScaleTraffic::Diurnal, ScaleTraffic::Mmpp]
         };
         let smoke = params.smoke;
-        // The CLI rejects `--observe --shards` (the LP engine does not
-        // support the layer), so observe-on cells always run serial.
         let observe = params.observe;
         // The class list is shared with the Nutch topology (both services
         // cycle the same component classes), so one profiling campaign
@@ -378,29 +367,19 @@ impl Scenario for ScaleScenario {
                                     service.name(),
                                     traffic.name()
                                 ),
-                                params: {
-                                    let mut p = vec![
-                                        kv("size", size as u64),
-                                        kv("racks", (size / NODES_PER_RACK).max(1) as u64),
-                                        kv("service", service.name()),
-                                        kv("traffic", traffic.name()),
-                                        kv("rate", rate),
-                                        kv("technique", technique.name()),
-                                    ];
-                                    // Only LP runs carry the coordinate:
-                                    // serial reports keep their historical
-                                    // bytes (no `shards` key at all).
-                                    if shards >= 1 {
-                                        p.push(kv("shards", shards as u64));
-                                    }
-                                    p
-                                },
+                                params: vec![
+                                    kv("size", size as u64),
+                                    kv("racks", (size / NODES_PER_RACK).max(1) as u64),
+                                    kv("service", service.name()),
+                                    kv("traffic", traffic.name()),
+                                    kv("rate", rate),
+                                    kv("technique", technique.name()),
+                                ],
                                 // Runner seed unused: cells in one trace
                                 // group share `trace_seed` (see above).
                                 run: Box::new(move |_cell_seed| {
-                                    let mut sim_config = scale_config(
-                                        size, service, rate, trace_seed, smoke, shards,
-                                    );
+                                    let mut sim_config =
+                                        scale_config(size, service, rate, trace_seed, smoke);
                                     sim_config.arrival_pattern = traffic.pattern();
                                     sim_config.observe =
                                         observe.map(|top_k| pcs_sim::ObserveConfig { top_k });
